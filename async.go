@@ -118,12 +118,12 @@ func (r *Runtime) RunEpochAsync(ctx context.Context, name string, body func()) (
 // reconcileOverlap settles the simulated clock at the epoch join. The
 // body's phases already advanced the clock by their wall time; the
 // background migration's modelled seconds were deliberately not added
-// by optimizeGoverned (asyncActive was set). Whatever part of the
-// migration fits under the phases is hidden — that is the point of
-// overlapping — except for the configured StealFraction of it, charged
-// back as the copy bandwidth stolen from the kernels; any excess beyond
-// the phases' time surfaces in full, as it would on real hardware when
-// the service threads outlive the interval.
+// by commit (asyncActive was set). Whatever part of the migration fits
+// under the phases is hidden — that is the point of overlapping — except
+// for the configured StealFraction of it, charged back as the copy
+// bandwidth stolen from the kernels; any excess beyond the phases' time
+// surfaces in full, as it would on real hardware when the service
+// threads outlive the interval.
 func (r *Runtime) reconcileOverlap(rep *EpochReport, phaseStart int) {
 	var phaseS float64
 	for i := phaseStart; i < len(r.phases); i++ {

@@ -106,7 +106,11 @@ func (r *Runtime) ResidentBytes() uint64 {
 // governed Optimize on the epoch's samples. A body that produced no
 // attributable samples keeps the current placement — an idle interval
 // carries no signal, so neither the hysteresis counters nor the breaker
-// advance. Requires Options.Governor.Enabled.
+// advance. While a compiled plan is armed (see Runtime.ArmPlan) the
+// epoch instead runs its body with profiling off and applies the plan's
+// recorded schedule for this epoch; epochs past the end of the recording
+// run on the final placement and migrate nothing — the recorded run had
+// converged by then. Requires Options.Governor.Enabled.
 func (r *Runtime) RunEpoch(name string, body func()) (EpochReport, error) {
 	return r.RunEpochCtx(context.Background(), name, body)
 }
@@ -119,14 +123,20 @@ func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (Ep
 	if r.resid == nil {
 		return EpochReport{}, fmt.Errorf("atmem: RunEpoch requires Options.Governor.Enabled")
 	}
-	if r.armedPlan != nil {
-		// A compiled plan is armed: replay its recorded schedule instead
-		// of profiling and analyzing (see replay.go).
-		return r.runEpochReplay(ctx, name, body)
-	}
+	replay := r.armedPlan != nil
 	r.epoch++
-	r.rec.Begin(0, "epoch", name, telemetry.Args{"epoch": r.epoch})
-	rep := EpochReport{Epoch: r.epoch}
+	if replay {
+		r.planEpoch++
+	}
+	// spanArgs tags every edge of a replayed epoch's span.
+	spanArgs := func(a telemetry.Args) telemetry.Args {
+		if replay {
+			a["replay"] = true
+		}
+		return a
+	}
+	r.rec.Begin(0, "epoch", name, spanArgs(telemetry.Args{"epoch": r.epoch}))
+	rep := EpochReport{Epoch: r.epoch, Replayed: replay}
 	phaseStart := len(r.phases)
 	// The epoch's scorecard charges exactly the scrub time this epoch's
 	// health passes add (the epoch-start pass below and the epoch-end
@@ -136,22 +146,28 @@ func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (Ep
 	// Epoch-start health pass: fire the fault schedule's epoch-driven
 	// orders and scrub the fast-tier residency, so injected corruption is
 	// detected and repaired before any kernel consumes it (see health.go).
-	// On a broker tenant the pass may migrate (emergency demotions), so
-	// it takes the cross-tenant placement lock.
+	// A replayed epoch runs it too, so a fault storm during replay
+	// degrades per-region exactly like the recorded run would have. On a
+	// broker tenant the pass may migrate (emergency demotions), so it
+	// takes the cross-tenant placement lock.
 	r.lockPlacement()
 	herr := r.beginEpochHealth(0)
 	r.unlockPlacement()
 	if herr != nil {
-		r.rec.End(0, "epoch", name, telemetry.Args{"epoch": r.epoch, "error": herr.Error()})
+		r.rec.End(0, "epoch", name, spanArgs(telemetry.Args{"epoch": r.epoch, "error": herr.Error()}))
 		return rep, herr
 	}
 
-	// Each epoch ranks on its own interval's heat: stale samples from
-	// previous intervals would anchor the old hot set and mask drift.
-	r.reg.ResetSamples()
-	r.ProfilingStart()
-	body()
-	rep.Samples = r.ProfilingStop()
+	if replay {
+		body()
+	} else {
+		// Each epoch ranks on its own interval's heat: stale samples from
+		// previous intervals would anchor the old hot set and mask drift.
+		r.reg.ResetSamples()
+		r.ProfilingStart()
+		body()
+		rep.Samples = r.ProfilingStop()
+	}
 	rep.Phases = append(rep.Phases, r.phases[phaseStart:]...)
 
 	// While a recorder is armed, every epoch must land in the plan —
@@ -163,7 +179,11 @@ func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (Ep
 		recBase = r.planRec.Epochs()
 	}
 	var err error
-	if rep.Samples > 0 {
+	switch {
+	case replay && r.planEpoch <= r.armedPlan.Epochs:
+		rep.Optimized = true
+		rep.Migration, err = r.applyPlanEpoch(ctx, r.planEpoch)
+	case !replay && rep.Samples > 0:
 		rep.Optimized = true
 		rep.Migration, err = r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
 	}
@@ -178,11 +198,11 @@ func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (Ep
 		r.unlockPlacement()
 	}
 	r.finishEpochScorecard(&rep, scrubStart)
-	r.rec.End(0, "epoch", name, telemetry.Args{
+	r.rec.End(0, "epoch", name, spanArgs(telemetry.Args{
 		"epoch":     r.epoch,
 		"samples":   rep.Samples,
 		"optimized": rep.Optimized,
-	})
+	}))
 	return rep, err
 }
 
@@ -203,7 +223,6 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	// migration in flight at a time. No-op on a solo runtime.
 	r.lockPlacement()
 	defer r.unlockPlacement()
-	optStart := r.simNS.Load()
 	r.rec.Begin(tid, "optimize", "optimize", nil)
 	var analyzeNS uint64
 	defer func() {
@@ -225,18 +244,13 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 		r.breakerOpenA.Store(gi.state != governor.StateClosed)
 		return r.migrationReport()
 	}
-	emptyStats := func() {
-		r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
-		st := migrate.Stats{Engine: r.engine.Name()}
-		r.migStats = &st
-	}
 
 	if gi.decision == governor.DecisionSkip {
 		// Open breaker: no analysis, no migration, hysteresis counters
 		// frozen. The epoch still ran its phases on the degraded
 		// placement; the cooldown was counted by Decide.
 		gi.skipped = true
-		emptyStats()
+		r.recordEmptyPlacement()
 		return finish(), nil
 	}
 
@@ -274,7 +288,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 			// Nothing resident and no headroom: there is no placement
 			// budget at all (core treats budget 0 as unlimited, so this
 			// cannot fall through to the analyzer). A clean no-op epoch.
-			emptyStats()
+			r.recordEmptyPlacement()
 			r.breaker.Observe(false)
 			return finish(), nil
 		}
@@ -368,39 +382,13 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 		}
 	}
 
-	pre := r.objectChecksums()
-	var sink migrate.EventSink
-	if r.rec.Enabled() {
-		sink = func(ev migrate.Event) { r.emitMigrationEvent(tid, optStart, ev) }
-	}
-	res, err := migrate.RunSchedule(ctx, r.engine, r.sys, sched, sink)
-	st := res.Merged
-	r.migStats = &st
-	if !r.asyncActive.Load() {
-		// Stop-the-world placement: the application waits out the whole
-		// migration. The overlapped pipeline instead reconciles the
-		// clock at the epoch join, charging only the non-hidden share.
-		r.simNS.Add(uint64(st.Seconds * 1e9))
-	}
+	res, err := r.commit(ctx, tid, sched, r.objectChecksums())
+	r.migStats = &res.Merged
 	if err != nil {
-		// Unrecoverable (failed rollback): degrade the breaker and
-		// surface the error.
+		// Unrecoverable (failed rollback) or a broken invariant: degrade
+		// the breaker and surface the error.
 		r.breaker.Observe(true)
-		return finish(), fmt.Errorf("atmem: migration: %w", err)
-	}
-
-	// Invalidate stale TLB/cache entries for exactly the committed
-	// slices, in either direction (via the shootdown log when accessors
-	// may be running concurrently).
-	r.invalidateMoved(st.Moved)
-	// Residency follows commits, never plans: only ranges whose remap
-	// committed change state, so a rolled-back region keeps both its
-	// placement and its residency.
-	for _, rg := range res.Demotions.Moved {
-		r.markMovedRegion(rg, false)
-	}
-	for _, rg := range res.Promotions.Moved {
-		r.markMovedRegion(rg, true)
+		return finish(), err
 	}
 	gi.promotedBytes = res.Promotions.BytesMoved
 	gi.demotedBytes = res.Demotions.BytesMoved
@@ -415,10 +403,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	// A cancelled plan skips regions deliberately; that is the caller's
 	// choice, not a failing migration path, so it must not trip the
 	// breaker.
-	r.breaker.Observe(st.RegionsSkipped > 0 && ctx.Err() == nil)
-	if err := r.verifyMigrationInvariants(pre); err != nil {
-		return finish(), fmt.Errorf("atmem: post-migration invariant violated: %w", err)
-	}
+	r.breaker.Observe(res.Merged.RegionsSkipped > 0 && ctx.Err() == nil)
 	return finish(), nil
 }
 

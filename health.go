@@ -270,12 +270,12 @@ func (r *Runtime) corruptRange(base, size uint64, seed int64) int {
 		if o.data == nil {
 			continue
 		}
-		lo, hi := max64(base, o.base), min64(base+size, o.base+o.size)
+		lo, hi := max(base, o.base), min(base+size, o.base+o.size)
 		for pa := lo &^ (memsim.SmallPage - 1); pa < hi; pa += memsim.SmallPage {
 			if r.sys.BytesOnTier(pa, memsim.SmallPage)[memsim.TierFast] != memsim.SmallPage {
 				continue
 			}
-			slo, shi := max64(pa, lo), min64(pa+memsim.SmallPage, hi)
+			slo, shi := max(pa, lo), min(pa+memsim.SmallPage, hi)
 			flip(o.data[slo-o.base : shi-o.base])
 			hit++
 			break // one page per object is damage enough
@@ -349,23 +349,12 @@ func (r *Runtime) evacuateAndRetire(tid int, base, size uint64, reason string) e
 		return nil
 	}
 	sched := migrate.Schedule{Demotions: []migrate.Region{{Base: alo, Size: ahi - alo}}}
-	optStart := r.simNS.Load()
-	var sink migrate.EventSink
-	if r.rec.Enabled() {
-		sink = func(ev migrate.Event) { r.emitMigrationEvent(tid, optStart, ev) }
-	}
 	// Healing is not tied to a caller's epoch context: a cancelled epoch
-	// must still leave damaged chunks evacuated.
-	res, err := migrate.RunSchedule(context.Background(), r.engine, r.sys, sched, sink)
-	r.simNS.Add(uint64(res.Merged.Seconds * 1e9))
-	if err != nil {
+	// must still leave damaged chunks evacuated. Only the ledger half of
+	// the invariant check runs (pre is nil): migration cannot reach object
+	// bytes.
+	if _, err := r.commit(context.Background(), tid, sched, nil); err != nil {
 		return fmt.Errorf("atmem: emergency demotion [%#x,+%#x): %w", alo, ahi-alo, err)
-	}
-	r.invalidateMoved(res.Merged.Moved)
-	if r.resid != nil {
-		for _, rg := range res.Demotions.Moved {
-			r.markMovedRegion(rg, false)
-		}
 	}
 	if err := r.sys.RetirePages(alo, ahi-alo); err != nil {
 		// The demotion was skipped (e.g. a fault storm): the pages are
@@ -515,18 +504,4 @@ func (r *Runtime) observeMigrationHealth(res migrate.ScheduleResult) {
 			r.board.ObserveSuccess(out.Region.Base, out.Region.Size)
 		}
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

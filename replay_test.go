@@ -342,7 +342,8 @@ func TestReplayFaultStormMatchesOnline(t *testing.T) {
 }
 
 // TestArmPlanRequirements pins the preconditions: a plan cache, the
-// governor, the synchronous loop, and one arm per session.
+// governor, the synchronous loop, a solo runtime, and one arm per
+// session.
 func TestArmPlanRequirements(t *testing.T) {
 	sig := core.Signature{Graph: "g", Kernels: "k"}
 
@@ -370,6 +371,16 @@ func TestArmPlanRequirements(t *testing.T) {
 	}
 	if _, err := async.ArmPlan(sig); err == nil {
 		t.Error("ArmPlan under async placement must fail")
+	}
+
+	bk := NewBroker(govTestbed(16<<20), BrokerConfig{QuantumBytes: 1 << 20})
+	tn, err := bk.Admit(TenantSpec{Name: "t", Class: ClassBurstable, FloorBytes: 2 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant, _, _ := brokerTenantRuntime(t, tn, WithPlanCache(core.NewPlanCache()))
+	if _, err := tenant.ArmPlan(sig); err == nil {
+		t.Error("ArmPlan on a broker tenant must fail")
 	}
 
 	pc := core.NewPlanCache()

@@ -517,7 +517,6 @@ func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
 	if !r.profiled {
 		return MigrationReport{}, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
 	}
-	optStart := r.simNS.Load()
 	r.rec.Begin(0, "optimize", "optimize", nil)
 	var analyzeNS uint64
 	defer func() {
@@ -531,9 +530,7 @@ func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
 		// no placement budget, so skip the analyzer and migration
 		// entirely and report an empty plan (see
 		// Options.CapacityReserve).
-		r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
-		st := migrate.Stats{Engine: r.engine.Name()}
-		r.migStats = &st
+		r.recordEmptyPlacement()
 		return r.migrationReport(), nil
 	}
 	budget := free - r.opts.CapacityReserve
@@ -552,33 +549,64 @@ func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
 	}
 	r.plan = plan
 
-	regions := make([]migrate.Region, 0, len(plan.Objects)*2)
+	var sched migrate.Schedule
 	for i := range plan.Objects {
 		for _, rg := range plan.Objects[i].Ranges {
-			regions = append(regions, migrate.Region{Base: rg.Base, Size: rg.Size})
+			sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
 		}
 	}
-	pre := r.objectChecksums()
+	res, err := r.commit(ctx, 0, sched, r.objectChecksums())
+	r.migStats = &res.Merged
+	return r.migrationReport(), err
+}
+
+// recordEmptyPlacement reports a placement that had no budget to spend:
+// an empty plan over the registered footprint and zero migration stats.
+func (r *Runtime) recordEmptyPlacement() {
+	r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
+	r.migStats = &migrate.Stats{Engine: r.engine.Name()}
+}
+
+// commit is the one path that moves bytes: every placement (one-shot,
+// governed, replayed) and every health evacuation executes its schedule
+// here. It runs the schedule through the transactional engine, charges
+// the simulated clock (stop-the-world only; the overlapped pipeline
+// reconciles at the epoch join), invalidates exactly the committed
+// slices, keeps governed residency following commits, and finally runs
+// the post-migration invariant checker. pre is the object-checksum
+// snapshot to compare against, or nil to check only the ledger half (see
+// verifyMigrationInvariants). Callers decide what to move and what the
+// outcome means; the returned result is populated even on error.
+func (r *Runtime) commit(ctx context.Context, tid int, sched migrate.Schedule, pre map[uint64]uint32) (migrate.ScheduleResult, error) {
+	var sink migrate.EventSink
 	if r.rec.Enabled() {
-		r.engine.SetEventSink(func(ev migrate.Event) {
-			r.emitMigrationEvent(0, optStart, ev)
-		})
-		defer r.engine.SetEventSink(nil)
+		start := r.simNS.Load()
+		sink = func(ev migrate.Event) { r.emitMigrationEvent(tid, start, ev) }
 	}
-	st, err := r.engine.Migrate(ctx, r.sys, regions, memsim.TierFast)
-	r.migStats = &st
-	r.simNS.Add(uint64(st.Seconds * 1e9))
+	res, err := migrate.RunSchedule(ctx, r.engine, r.sys, sched, sink)
+	if !r.asyncActive.Load() {
+		r.simNS.Add(uint64(res.Merged.Seconds * 1e9))
+	}
 	if err != nil {
 		// Only unrecoverable failures (a failed rollback) reach here;
 		// recoverable faults degraded into per-region outcomes.
-		return r.migrationReport(), fmt.Errorf("atmem: migration: %w", err)
+		return res, fmt.Errorf("atmem: migration: %w", err)
 	}
-
-	r.invalidateMoved(st.Moved)
+	r.invalidateMoved(res.Merged.Moved)
+	if r.resid != nil {
+		// Residency follows commits, never plans: a rolled-back region
+		// keeps both its placement and its residency.
+		for _, rg := range res.Demotions.Moved {
+			r.markMovedRegion(rg, false)
+		}
+		for _, rg := range res.Promotions.Moved {
+			r.markMovedRegion(rg, true)
+		}
+	}
 	if err := r.verifyMigrationInvariants(pre); err != nil {
-		return r.migrationReport(), fmt.Errorf("atmem: post-migration invariant violated: %w", err)
+		return res, fmt.Errorf("atmem: post-migration invariant violated: %w", err)
 	}
-	return r.migrationReport(), nil
+	return res, nil
 }
 
 // invalidateMoved drops the stale TLB and cache entries of exactly the
@@ -626,12 +654,12 @@ func (r *Runtime) objectChecksums() map[uint64]uint32 {
 	return out
 }
 
-// verifyMigrationInvariants is the post-migration checker: whatever mix
-// of migrated, retried, and skipped regions Optimize produced, the
-// system must hold the safety invariants — no staging reservation
-// outlives the migration, the page table and the capacity ledger agree,
-// and no object's bytes changed (migration remaps pages; it never edits
-// values).
+// verifyMigrationInvariants is the post-migration checker commit runs
+// after every schedule: whatever mix of migrated, retried, and skipped
+// regions it produced, no staging reservation outlives the migration and
+// the page table and the capacity ledger agree (the ledger half, always
+// checked); and, when pre is non-nil, no object's bytes changed
+// (migration remaps pages; it never edits values).
 func (r *Runtime) verifyMigrationInvariants(pre map[uint64]uint32) error {
 	for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
 		if res := r.sys.Reserved(t); res != 0 {
