@@ -122,7 +122,7 @@ func (b *BC) RunIteration(rt *atmem.Runtime) IterationResult {
 					}
 					if atomic.CompareAndSwapInt32(&lvl[dst], -1, d+1) {
 						b.lvl.SimStore(c, int(dst))
-						b.front.SimStore(c, minInt(nextBase+len(buf), n-1))
+						b.front.SimStore(c, min(nextBase+len(buf), n-1))
 						buf = append(buf, dst)
 					}
 				}

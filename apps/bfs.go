@@ -101,7 +101,7 @@ func (b *BFS) RunIteration(rt *atmem.Runtime) IterationResult {
 					}
 					if atomic.CompareAndSwapInt32(&lvl[dst], -1, d+1) {
 						b.lvl.SimStore(c, int(dst))
-						b.next.SimStore(c, minInt(nextBase+len(buf), n-1))
+						b.next.SimStore(c, min(nextBase+len(buf), n-1))
 						buf = append(buf, dst)
 					}
 				}
@@ -118,13 +118,6 @@ func (b *BFS) RunIteration(rt *atmem.Runtime) IterationResult {
 		cur = b.frontier.Raw()[:len(merged)]
 	}
 	return res
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Levels returns the computed level array (after RunIteration).

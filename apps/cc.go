@@ -127,7 +127,7 @@ func (k *CC) RunIteration(rt *atmem.Runtime) IterationResult {
 					old := atomic.LoadInt32(&stamp[dst])
 					if old != r && atomic.CompareAndSwapInt32(&stamp[dst], old, r) {
 						k.stamp.SimStore(c, int(dst))
-						k.next.SimStore(c, minInt(nextBase+len(buf), n-1))
+						k.next.SimStore(c, min(nextBase+len(buf), n-1))
 						buf = append(buf, dst)
 					}
 				}

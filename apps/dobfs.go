@@ -120,7 +120,7 @@ func (b *DOBFS) RunIteration(rt *atmem.Runtime) IterationResult {
 						}
 						if atomic.CompareAndSwapInt32(&lvl[dst], -1, d+1) {
 							b.lvl.SimStore(c, int(dst))
-							b.next.SimStore(c, minInt(nextBase+len(buf), n-1))
+							b.next.SimStore(c, min(nextBase+len(buf), n-1))
 							buf = append(buf, dst)
 						}
 					}
@@ -157,7 +157,7 @@ func (b *DOBFS) RunIteration(rt *atmem.Runtime) IterationResult {
 						if atomic.LoadInt32(&lvl[u]) == d {
 							atomic.StoreInt32(&lvl[v], d+1)
 							b.lvl.SimStore(c, v)
-							b.next.SimStore(c, minInt(nextBase+len(buf), n-1))
+							b.next.SimStore(c, min(nextBase+len(buf), n-1))
 							buf = append(buf, uint32(v))
 							break
 						}

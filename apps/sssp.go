@@ -153,7 +153,7 @@ func (s *SSSP) RunIteration(rt *atmem.Runtime) IterationResult {
 					old := atomic.LoadInt32(&stamp[dst])
 					if old != r && atomic.CompareAndSwapInt32(&stamp[dst], old, r) {
 						s.stamp.SimStore(c, int(dst))
-						s.next.SimStore(c, minInt(nextBase+len(buf), n-1))
+						s.next.SimStore(c, min(nextBase+len(buf), n-1))
 						buf = append(buf, dst)
 					}
 				}

@@ -67,7 +67,7 @@ func (r *Runtime) RunEpochAsync(ctx context.Context, name string, body func()) (
 			"samples":    r.pendingSamples,
 		})
 		go func() {
-			mrep, err := r.optimizeGoverned(ctx, period, r.placeTID)
+			mrep, err := r.place(ctx, period, r.placeTID)
 			done <- asyncOutcome{rep: mrep, err: err}
 		}()
 	}
@@ -130,10 +130,7 @@ func (r *Runtime) reconcileOverlap(rep *EpochReport, phaseStart int) {
 		phaseS += r.phases[i].Stats.WallSeconds
 	}
 	migS := rep.Migration.Seconds
-	overlap := migS
-	if phaseS < overlap {
-		overlap = phaseS
-	}
+	overlap := min(migS, phaseS)
 	excess := migS - overlap
 	stolen := overlap * r.opts.Async.StealFraction
 	rep.OverlapSeconds = overlap
@@ -171,7 +168,7 @@ func (r *Runtime) DrainAsync(ctx context.Context) (MigrationReport, error) {
 	}
 	period := r.pendingPeriod
 	r.pendingSamples, r.pendingPeriod = 0, 0
-	return r.optimizeGoverned(ctx, period, 0)
+	return r.place(ctx, period, 0)
 }
 
 // OverlapSeconds returns the cumulative background-migration seconds

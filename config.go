@@ -10,7 +10,7 @@
 //
 // A minimal session:
 //
-//	rt, _ := atmem.NewRuntime(atmem.NVMDRAM())
+//	rt, _ := atmem.New(atmem.NVMDRAM())
 //	ranks, _ := atmem.NewArray[float64](rt, "ranks", n)
 //	rt.ProfilingStart()
 //	rt.RunPhase("iter0", func(c *atmem.Ctx) { ... ranks.Load(c, i) ... })
@@ -206,10 +206,15 @@ type Options struct {
 	// Health configures the tier-health subsystem: a per-granule error
 	// scoreboard feeding exponential-backoff distrust and persistent
 	// -fault quarantine, and (with Health.Scrub) a CRC-32C scrubber
-	// that walks the fast-tier residency between governed epochs,
+	// that walks the fast-tier residency between RunEpoch epochs,
 	// repairs detected corruption from its backup, emergency-demotes
 	// the damaged chunk, and retires its pages from the allocatable
-	// fast-tier capacity. See health.go.
+	// fast-tier capacity. See health.go. Only RunEpoch runs the epoch
+	// health passes (epoch-driven fault orders, scrub, evacuation of
+	// condemned granules, the scoreboard's epoch clock). RunEpochAsync
+	// and one-shot Optimize run none of them: there, health is the
+	// promotion veto and, when governed, the scoring of promotion
+	// outcomes, both inside placement.
 	Health HealthOptions
 	// Retry shapes the per-region degradation ladder shared by both
 	// migration engines and the scrubber's emergency demotion path. The
@@ -344,12 +349,7 @@ func (o *Options) withDefaults() Options {
 	if out.Async.StealFraction == 0 {
 		out.Async.StealFraction = defaultStealFraction
 	}
-	if out.Async.StealFraction < 0 {
-		out.Async.StealFraction = 0
-	}
-	if out.Async.StealFraction > 1 {
-		out.Async.StealFraction = 1
-	}
+	out.Async.StealFraction = min(max(out.Async.StealFraction, 0), 1)
 	if out.Health.Scrub {
 		out.Health.Enabled = true
 	}

@@ -72,10 +72,3 @@ func main() {
 			float64(mb.tlbMisses)/float64(max(at.tlbMisses, 1)))
 	}
 }
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

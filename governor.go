@@ -11,7 +11,6 @@ package atmem
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"atmem/internal/core"
 	"atmem/internal/governor"
@@ -185,7 +184,7 @@ func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (Ep
 		rep.Migration, err = r.applyPlanEpoch(ctx, r.planEpoch)
 	case !replay && rep.Samples > 0:
 		rep.Optimized = true
-		rep.Migration, err = r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
+		rep.Migration, err = r.place(ctx, r.prof.Config().Period, 0)
 	}
 	if r.planRec != nil && r.planRec.Epochs() == recBase {
 		r.recordCommitted(nil, nil)
@@ -206,111 +205,13 @@ func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (Ep
 	return rep, err
 }
 
-// optimizeGoverned is Optimize for a governed runtime: one breaker
-// decision, a residency delta against the fresh plan, watermark-driven
-// pressure demotions, and a mixed-direction migration schedule with
-// demotions first. The sampling period is a parameter (not read from
-// the profiler) so the async pipeline can analyze a previous interval's
-// samples while the profiler is already reconfigured for the next; tid
-// selects the telemetry track (the placement track when running on the
-// background service goroutine).
-func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) (MigrationReport, error) {
-	if !r.profiled {
-		return MigrationReport{}, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
-	}
-	// Serialize against co-tenants on a shared system: the staging
-	// reservations and the global reserved==0 invariant assume one
-	// migration in flight at a time. No-op on a solo runtime.
-	r.lockPlacement()
-	defer r.unlockPlacement()
-	r.rec.Begin(tid, "optimize", "optimize", nil)
-	var analyzeNS uint64
-	defer func() {
-		r.logNewFaults(tid)
-		r.logBreakerTransitions(tid)
-		r.logHealthTransitions(tid)
-		r.rec.End(tid, "optimize", "optimize", r.optimizeSpanArgs())
-		r.recordOptimizeMetrics(tid, analyzeNS)
-	}()
-
-	gi := &govInfo{decision: r.breaker.Decide()}
-	gi.epoch = r.breaker.Epoch()
-	r.gov = gi
-	finish := func() MigrationReport {
-		gi.state = r.breaker.State()
-		gi.residentBytes = r.resid.ResidentBytes()
-		// Mirror the breaker state atomically for /healthz, which reads
-		// from the debug listener's goroutine mid-run.
-		r.breakerOpenA.Store(gi.state != governor.StateClosed)
-		return r.migrationReport()
-	}
-
-	if gi.decision == governor.DecisionSkip {
-		// Open breaker: no analysis, no migration, hysteresis counters
-		// frozen. The epoch still ran its phases on the degraded
-		// placement; the cooldown was counted by Decide.
-		gi.skipped = true
-		r.recordEmptyPlacement()
-		return finish(), nil
-	}
-
-	// The placement budget is an exact ledger identity: free capacity
-	// beyond the reserve plus what registered objects already hold on
-	// the fast tier. Re-selecting an already-resident chunk costs
-	// nothing, so identical samples reproduce the identical plan across
-	// epochs — the invariant that makes steady-state deltas empty.
-	free := r.sys.FreeCapacity(memsim.TierFast)
-	var effFree uint64
-	if free > r.opts.CapacityReserve {
-		effFree = free - r.opts.CapacityReserve
-	}
-	budget := effFree + r.registeredFastBytes()
-	if r.tenant != nil {
-		// Broker tenancy: the granted share — already debited by this
-		// tenant's own quarantined bytes, so one tenant's fault storm
-		// shrinks only its own budget — caps the placement budget.
-		// Physical availability (what we hold plus the global headroom)
-		// still bounds it from above.
-		if share := r.tenant.Budget(); share < budget {
-			budget = share
-		}
-	}
-	if budget == 0 {
-		if r.tenant != nil {
-			// A tenant with no budget still runs the analyzer with a
-			// 1-byte budget (0 would mean unlimited): for a shed or
-			// fully-debited tenant the empty selection lets the pressure
-			// demotions below drain its residency, and for a fresh tenant
-			// the clipped plan's MarginalDensity is the "I am hungry"
-			// signal the arbiter needs before it can grant a first share.
-			budget = 1
-		} else {
-			// Nothing resident and no headroom: there is no placement
-			// budget at all (core treats budget 0 as unlimited, so this
-			// cannot fall through to the analyzer). A clean no-op epoch.
-			r.recordEmptyPlacement()
-			r.breaker.Observe(false)
-			return finish(), nil
-		}
-	}
-	analyzeStart := time.Now()
-	plan, err := r.policy.Rank(core.PolicyProfile{
-		Registry: r.reg,
-		Period:   period,
-		Epoch:    gi.epoch,
-	}, budget, r.stageObserver(tid))
-	analyzeNS = uint64(time.Since(analyzeStart))
-	if err != nil {
-		return MigrationReport{}, err
-	}
-	if r.opts.BandwidthAware && !r.sys.P.SharedChannels {
-		trimPlanForBandwidth(plan, &r.sys.P)
-	}
-	r.plan = plan
-
-	// Delta against residency: promotions of newly-hot ranges,
-	// demotions of ranges cold for the whole hysteresis window, plus
-	// the not-yet-expired cold chunks as pressure candidates.
+// governedSchedule is the governor's half of place: the delta of a
+// fresh plan against residency (promotions of newly-hot ranges,
+// demotions of ranges cold for the whole hysteresis window), plus the
+// watermark-driven pressure demotions, demotions first so reclaimed
+// capacity funds the promotions.
+func (r *Runtime) governedSchedule(plan *core.Plan, gi *govInfo) migrate.Schedule {
+	// The not-yet-expired cold chunks come back as pressure candidates.
 	delta, cands := r.resid.Advance(plan, r.govCfg.DemoteAfterEpochs)
 
 	// Pressure watermarks: if committing the delta would push occupancy
@@ -321,11 +222,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	// Quarantined pages are capacity the tier no longer has: the
 	// watermarks must drain occupancy against the effective size, or a
 	// shrunken tier would never look pressured.
-	if q := r.sys.Quarantined(); capEff > q {
-		capEff -= q
-	} else {
-		capEff = 0
-	}
+	capEff -= min(capEff, r.sys.Quarantined())
 	committed := r.sys.Used(memsim.TierFast)
 	if r.tenant != nil {
 		// Per-tenant watermarks: this tenant's fast footprint pressured
@@ -335,17 +232,9 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 		capEff = r.tenant.Budget()
 		committed = r.sys.TenantUsage(r.tenant.ID()).FastBytes
 	}
-	if capEff > r.opts.CapacityReserve {
-		capEff -= r.opts.CapacityReserve
-	} else {
-		capEff = 0
-	}
+	capEff -= min(capEff, r.opts.CapacityReserve)
 	projected := committed + delta.PromoteBytes
-	if projected > delta.DemoteBytes {
-		projected -= delta.DemoteBytes
-	} else {
-		projected = 0
-	}
+	projected -= min(projected, delta.DemoteBytes)
 	target := governor.DemotionTarget(projected, capEff,
 		r.govCfg.HighWatermark, r.govCfg.LowWatermark)
 	if capEff == 0 {
@@ -367,44 +256,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	for _, rg := range delta.Promotions {
 		sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
 	}
-	// Health veto: never promote onto quarantined or distrusted granules.
-	sched.Promotions = r.filterPromotions(tid, sched.Promotions)
-	gi.emptyDelta = sched.Empty()
-
-	if gi.decision == governor.DecisionProbe && !sched.Empty() {
-		// Half-open: probe with the single smallest region (a
-		// promotion if there is one — it exercises the fast tier the
-		// failures came from) instead of the whole schedule.
-		if len(sched.Promotions) > 0 {
-			sched = migrate.Schedule{Promotions: []migrate.Region{smallestRegion(sched.Promotions)}}
-		} else {
-			sched = migrate.Schedule{Demotions: []migrate.Region{smallestRegion(sched.Demotions)}}
-		}
-	}
-
-	res, err := r.commit(ctx, tid, sched, r.objectChecksums())
-	r.migStats = &res.Merged
-	if err != nil {
-		// Unrecoverable (failed rollback) or a broken invariant: degrade
-		// the breaker and surface the error.
-		r.breaker.Observe(true)
-		return finish(), err
-	}
-	gi.promotedBytes = res.Promotions.BytesMoved
-	gi.demotedBytes = res.Demotions.BytesMoved
-	gi.regionsDemoted = len(res.Demotions.Moved)
-	// Promotion outcomes are health observations: committed promotions
-	// vouch for their target granules, skipped ones indict them.
-	r.observeMigrationHealth(res)
-	// Plan recording captures exactly what committed this epoch — the
-	// decisions a replay must reproduce (see replay.go).
-	r.recordCommitted(res.Promotions.Moved, res.Demotions.Moved)
-
-	// A cancelled plan skips regions deliberately; that is the caller's
-	// choice, not a failing migration path, so it must not trip the
-	// breaker.
-	r.breaker.Observe(res.Merged.RegionsSkipped > 0 && ctx.Err() == nil)
-	return finish(), nil
+	return sched
 }
 
 // registeredFastBytes sums the fast-tier bytes of every registered
@@ -425,14 +277,4 @@ func (r *Runtime) markMovedRegion(rg migrate.Region, fast bool) {
 	if o, _, ok := r.reg.Find(rg.Base); ok {
 		r.resid.MarkMoved(o, rg.Base, rg.Size, fast)
 	}
-}
-
-func smallestRegion(regions []migrate.Region) migrate.Region {
-	best := regions[0]
-	for _, rg := range regions[1:] {
-		if rg.Size < best.Size {
-			best = rg
-		}
-	}
-	return best
 }

@@ -168,3 +168,44 @@ func TestHealthVetoSurvivesTrustWindow(t *testing.T) {
 		t.Error("hot array reached the fast tier through a suspect granule")
 	}
 }
+
+// TestOneShotVetoesQuarantinedPromotion: an ungoverned one-shot Optimize
+// runs the same health veto as a governed epoch, so a hot range whose
+// pages were retired while slow-resident is dropped from the schedule
+// (vetoed) instead of being attempted and walking the degradation
+// ladder to a skip.
+func TestOneShotVetoesQuarantinedPromotion(t *testing.T) {
+	rt, err := New(NVMDRAM(), WithPolicy(PolicyATMem), WithSamplePeriod(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := NewArray[uint64](rt, "hot", 32<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewArray[uint64](rt, "cold", 256<<10); err != nil {
+		t.Fatal(err)
+	}
+	rt.ProfilingStart()
+	scanPhase(rt, "scan", hot)
+	if rt.ProfilingStop() == 0 {
+		t.Fatal("profiling attributed no samples")
+	}
+	o := hot.Object()
+	if err := rt.System().RetirePages(o.Base(), o.Size()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rt.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rt.HealthStats(); st.PromotionsVetoed == 0 {
+		t.Errorf("no promotion vetoed onto the retired hot range (selected %d B)", rep.SelectedBytes)
+	}
+	if rep.RegionsSkipped != 0 {
+		t.Errorf("%d regions attempted and skipped; the veto must drop them before the engine runs", rep.RegionsSkipped)
+	}
+	if fb := o.FastBytes(); fb != 0 {
+		t.Errorf("retired hot range holds %d fast bytes", fb)
+	}
+}

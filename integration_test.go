@@ -1,6 +1,7 @@
 package atmem_test
 
 import (
+	"reflect"
 	"testing"
 
 	"atmem"
@@ -159,6 +160,74 @@ func TestFullPipelineOnBothTestbeds(t *testing.T) {
 				k.RunIteration(rt)
 				if err := k.Validate(); err != nil {
 					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestOneShotEqualsFirstGovernedEpoch: one-shot Optimize and a governed
+// runtime's first epoch run the same placement stage on the same
+// samples, so they select, move and charge exactly the same bytes. The
+// frontier kernels (bfs, sssp, bc) are left out: their one-shot
+// placement already varies run to run with thread interleaving.
+func TestOneShotEqualsFirstGovernedEpoch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("rmat24 pipelines in -short mode")
+	}
+	run := func(t *testing.T, tb atmem.Testbed, name string, governed bool) (atmem.MigrationReport, []atmem.ObjectPlacement) {
+		t.Helper()
+		var opts []atmem.Option
+		if governed {
+			opts = append(opts, atmem.WithGovernor(atmem.GovernorOptions{}))
+		}
+		rt, err := atmem.New(tb, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := apps.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Setup(rt, "rmat24"); err != nil {
+			t.Fatal(err)
+		}
+		var rep atmem.MigrationReport
+		if governed {
+			ep, err := rt.RunEpoch("e1", func() { k.RunIteration(rt) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ep.Optimized {
+				t.Fatal("governed epoch did not place")
+			}
+			rep = ep.Migration
+		} else {
+			rt.ProfilingStart()
+			k.RunIteration(rt)
+			rt.ProfilingStop()
+			if rep, err = rt.Optimize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rep, rt.PlacementSummary()
+	}
+	for _, tb := range []atmem.Testbed{atmem.NVMDRAM(), atmem.MCDRAMDRAM()} {
+		for _, name := range []string{"pr", "cc"} {
+			t.Run(tb.Name()+"/"+name, func(t *testing.T) {
+				one, onePl := run(t, tb, name, false)
+				gov, govPl := run(t, tb, name, true)
+				if one.BytesMoved == 0 {
+					t.Fatal("one-shot placement moved nothing")
+				}
+				if one.SelectedBytes != gov.SelectedBytes || one.BytesMoved != gov.BytesMoved ||
+					one.Regions != gov.Regions || one.Seconds != gov.Seconds {
+					t.Errorf("one-shot selected/moved/regions/seconds %d/%d/%d/%v, governed %d/%d/%d/%v",
+						one.SelectedBytes, one.BytesMoved, one.Regions, one.Seconds,
+						gov.SelectedBytes, gov.BytesMoved, gov.Regions, gov.Seconds)
+				}
+				if !reflect.DeepEqual(onePl, govPl) {
+					t.Errorf("placement differs:\none-shot %+v\ngoverned %+v", onePl, govPl)
 				}
 			})
 		}

@@ -332,7 +332,7 @@ func (b *Broker) floorsLocked() uint64 {
 // in `fast capacity − quarantined bytes` — the admission invariant.
 // Callers hold b.mu.
 func (b *Broker) admissibleLocked(spec TenantSpec) bool {
-	avail := b.Capacity() - minU64(b.Capacity(), b.sys.Quarantined())
+	avail := b.Capacity() - min(b.Capacity(), b.sys.Quarantined())
 	return b.floorsLocked()+spec.FloorBytes <= avail
 }
 
@@ -575,18 +575,18 @@ func (b *Broker) arbitrateLocked(rep *RebalanceReport) {
 		shares += t.share.Load()
 		attributed += b.sys.TenantUsage(t.id).QuarantinedBytes
 	}
-	unattr := b.sys.Quarantined() - minU64(b.sys.Quarantined(), attributed)
-	pool := b.Capacity() - minU64(b.Capacity(), unattr+shares)
+	unattr := b.sys.Quarantined() - min(b.sys.Quarantined(), attributed)
+	pool := b.Capacity() - min(b.Capacity(), unattr+shares)
 
 	for i, t := range hungry {
-		quantum := minU64(b.cfg.QuantumBytes, t.spec.limit()-t.share.Load())
-		grant := minU64(quantum, pool)
+		quantum := min(b.cfg.QuantumBytes, t.spec.limit()-t.share.Load())
+		grant := min(quantum, pool)
 		pool -= grant
 		if i == 0 && grant < quantum {
 			// The hottest tenant outranks cold shares: reclaim the
 			// remainder from the coldest donor above its floor.
 			if donor := b.coldestDonorLocked(t); donor != nil {
-				take := minU64(quantum-grant, donor.share.Load()-donor.spec.FloorBytes)
+				take := min(quantum-grant, donor.share.Load()-donor.spec.FloorBytes)
 				donor.share.Store(donor.share.Load() - take)
 				grant += take
 				rep.ReclaimedFrom = donor.spec.Name
@@ -625,11 +625,4 @@ func (b *Broker) coldestDonorLocked(grantee *Tenant) *Tenant {
 		}
 	}
 	return donor
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -396,7 +396,7 @@ func clipToBudget(plan *Plan, budget uint64) {
 		cut := RoundUpU64(drop, cs)
 		if cut >= rg.Size {
 			dropped[ref] = rg.Size
-			drop -= minU64(drop, rg.Size)
+			drop -= min(drop, rg.Size)
 		} else {
 			dropped[ref] = cut
 			drop = 0
@@ -461,11 +461,4 @@ func recountOrigins(op *ObjectPlan) {
 // RoundUpU64 rounds n up to a multiple of align (align > 0).
 func RoundUpU64(n, align uint64) uint64 {
 	return (n + align - 1) / align * align
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -78,10 +78,10 @@ func TestBreakerFullCycle(t *testing.T) {
 	b := NewBreaker(Config{BreakerThreshold: 2, BreakerCooldown: 2}.WithDefaults())
 	runScript(t, b, []epochStep{
 		{DecisionRun, false, StateClosed},
-		{DecisionRun, true, StateClosed},  // bad = 1
-		{DecisionRun, true, StateOpen},    // bad = 2 -> open(cooldown 2)
-		{DecisionSkip, false, StateOpen},  // cooldown 2 -> 1
-		{DecisionSkip, false, StateOpen},  // cooldown 1 -> 0
+		{DecisionRun, true, StateClosed}, // bad = 1
+		{DecisionRun, true, StateOpen},   // bad = 2 -> open(cooldown 2)
+		{DecisionSkip, false, StateOpen}, // cooldown 2 -> 1
+		{DecisionSkip, false, StateOpen}, // cooldown 1 -> 0
 		{DecisionProbe, false, StateClosed},
 		{DecisionRun, false, StateClosed},
 	})
@@ -104,12 +104,12 @@ func TestBreakerFullCycle(t *testing.T) {
 func TestBreakerProbeFailureDoublesCooldown(t *testing.T) {
 	b := NewBreaker(Config{BreakerThreshold: 1, BreakerCooldown: 1}.WithDefaults())
 	runScript(t, b, []epochStep{
-		{DecisionRun, true, StateOpen},    // open, cooldown 1
-		{DecisionSkip, false, StateOpen},  // wait out the single epoch
-		{DecisionProbe, true, StateOpen},  // probe fails -> cooldown 2
+		{DecisionRun, true, StateOpen},   // open, cooldown 1
+		{DecisionSkip, false, StateOpen}, // wait out the single epoch
+		{DecisionProbe, true, StateOpen}, // probe fails -> cooldown 2
 		{DecisionSkip, false, StateOpen},
 		{DecisionSkip, false, StateOpen},
-		{DecisionProbe, true, StateOpen},  // probe fails -> cooldown 4
+		{DecisionProbe, true, StateOpen}, // probe fails -> cooldown 4
 	})
 	if b.Cooldown() != 4 {
 		t.Errorf("cooldown after two failed probes = %d, want 4", b.Cooldown())

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 	"strings"
 
@@ -229,18 +230,11 @@ func RunChaosSoak(sc ChaosScenario) (*ChaosResult, error) {
 	}
 	for v := range base.ranks {
 		want, got := base.ranks[v], faulted.ranks[v]
-		if diff := got - want; diff > 1e-12+1e-6*abs(want) || -diff > 1e-12+1e-6*abs(want) {
+		if diff := got - want; diff > 1e-12+1e-6*math.Abs(want) || -diff > 1e-12+1e-6*math.Abs(want) {
 			return res, fmt.Errorf("harness: chaos: rank[%d] diverged from the fault-free run: %g vs %g", v, got, want)
 		}
 	}
 	return res, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // run executes the scenario's epoch sequence once. The baseline and

@@ -392,7 +392,7 @@ func (sc ServingScenario) runShared(solos map[string]*servingSolo) (*ServingResu
 		// The admission invariant, checked at the only moments it can
 		// change in the broker's favour: promised floors never exceed
 		// what the tier actually still has.
-		if avail := bk.Capacity() - min64(bk.Capacity(), bk.System().Quarantined()); floorsPromised > avail {
+		if avail := bk.Capacity() - min(bk.Capacity(), bk.System().Quarantined()); floorsPromised > avail {
 			return fmt.Errorf("harness: serving: admission oversubscribed — %d promised floor bytes > %d available",
 				floorsPromised, avail)
 		}
@@ -656,13 +656,6 @@ func (sc ServingScenario) checkBars(res *ServingResult, solos map[string]*servin
 		return fmt.Errorf("harness: serving: victim %s breaker still %s at the final round", victimName, victimBreaker)
 	}
 	return nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // serving is the experiment wrapper: the shared run rendered one row

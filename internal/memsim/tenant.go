@@ -78,7 +78,7 @@ func (s *System) DisownRange(base, size uint64) {
 func (s *System) disownLocked(base, size uint64) {
 	var next []ownerRange
 	for _, or := range s.owners {
-		lo, hi := maxU64(or.base, base), minU64(or.base+or.size, base+size)
+		lo, hi := max(or.base, base), min(or.base+or.size, base+size)
 		if lo >= hi { // no overlap
 			next = append(next, or)
 			continue
@@ -137,7 +137,7 @@ func (s *System) forEachOwnedOverlapLocked(base, size uint64, fn func(u *tenantU
 	i := sort.Search(n, func(i int) bool { return s.owners[i].base+s.owners[i].size > base })
 	for ; i < n && s.owners[i].base < end; i++ {
 		or := s.owners[i]
-		lo, hi := maxU64(or.base, base), minU64(or.base+or.size, end)
+		lo, hi := max(or.base, base), min(or.base+or.size, end)
 		if lo < hi {
 			fn(s.tenantLocked(or.owner), hi-lo)
 		}
@@ -176,7 +176,7 @@ func (s *System) tenantFreeLocked(pageAddr uint64, t Tier) {
 // owners it overlaps; callers hold s.mu.
 func (s *System) tenantRetireLocked(base, size uint64) {
 	for _, or := range s.owners {
-		lo, hi := maxU64(or.base, base), minU64(or.base+or.size, base+size)
+		lo, hi := max(or.base, base), min(or.base+or.size, base+size)
 		if lo < hi {
 			s.tenantLocked(or.owner).quarantined += hi - lo
 		}
@@ -214,7 +214,7 @@ func (s *System) fastBytesLocked(base, size uint64) uint64 {
 func (s *System) quarOverlapBytesLocked(base, size uint64) uint64 {
 	var out uint64
 	for _, q := range s.quarRanges {
-		lo, hi := maxU64(q.Base, base), minU64(q.Base+q.Size, base+size)
+		lo, hi := max(q.Base, base), min(q.Base+q.Size, base+size)
 		if lo < hi {
 			out += hi - lo
 		}
@@ -242,18 +242,4 @@ func (s *System) checkTenantsLocked() error {
 		}
 	}
 	return nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

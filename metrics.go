@@ -60,9 +60,9 @@ type metricsSet struct {
 	residentBytes   *metrics.Gauge
 
 	// Health instruments. The counters are fed by delta against the
-	// cumulative HealthReport (lastHealth below); optimizeGoverned and
-	// the epoch loop never run concurrently with each other, so the
-	// delta bookkeeping needs no lock.
+	// cumulative HealthReport (lastHealth below); place and the epoch
+	// loop never run concurrently with each other, so the delta
+	// bookkeeping needs no lock.
 	quarantinedBytes *metrics.Gauge
 	scrubbedBytes    *metrics.Counter
 	crcDetected      *metrics.Counter

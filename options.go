@@ -152,10 +152,10 @@ func WithHealthPolicy(p health.Policy) Option {
 
 // WithScrubber enables the between-epoch CRC-32C scrubber on top of the
 // health scoreboard (see Options.Health.Scrub): fast-resident chunks
-// are checksummed after each governed epoch's migration and verified
-// before the next epoch's kernels run; a mismatch is repaired from the
+// are checksummed after each RunEpoch's migration and verified before
+// the next RunEpoch's kernels run; a mismatch is repaired from the
 // scrubber's backup, the chunk emergency-demoted, and its pages
-// retired.
+// retired. RunEpochAsync epochs never scrub (see Options.Health).
 func WithScrubber() Option {
 	return func(o *Options) {
 		o.Health.Enabled = true
@@ -198,10 +198,4 @@ func WithScorecardSink(fn func(Scorecard)) Option {
 // signals to the broker's arbiter. Implies the governor.
 func WithTenant(t *Tenant) Option {
 	return func(o *Options) { o.Tenant = t }
-}
-
-// WithOptions merges a whole Options struct, for callers migrating from
-// the deprecated NewRuntime signature one step at a time.
-func WithOptions(full Options) Option {
-	return func(o *Options) { *o = full }
 }

@@ -165,8 +165,8 @@ func (r *Runtime) FinishPlan() (*core.CompiledPlan, error) {
 
 // applyPlanEpoch executes one plan epoch's recorded schedule: demotions
 // first (they fund the promotions, the invariant the compiler encoded as
-// dependency edges), through the same commit path as the online loop,
-// with residency kept truthful so the final fast-resident footprint of a
+// dependency edges), through the same commit tail as place, with
+// residency kept truthful so the final fast-resident footprint of a
 // replay matches the recorded run bit for bit.
 func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationReport, error) {
 	r.rec.Begin(0, "replay", "apply-plan", telemetry.Args{"plan_epoch": epoch})
@@ -179,35 +179,24 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 	for _, st := range promos {
 		sched.Promotions = append(sched.Promotions, migrate.Region{Base: st.Base, Size: st.Size})
 	}
-	// The health veto applies on replay too: pages quarantined since the
-	// recording must never receive a replayed promotion.
-	sched.Promotions = r.filterPromotions(0, sched.Promotions)
 
 	// Replay bypasses the breaker (the recorded run already paid for the
 	// decisions) but reports through the same governed-report shape.
-	gi := &govInfo{epoch: epoch, emptyDelta: sched.Empty()}
+	gi := &govInfo{epoch: epoch}
 	r.gov = gi
 	r.recordEmptyPlacement()
 
 	// The whole-heap object CRCs are skipped (pre is nil): replay's
 	// placement is a small fraction of the online loop's, and two heap
 	// passes per epoch would dominate it; the ledger half still runs.
-	res, err := r.commit(ctx, 0, sched, nil)
-	r.migStats = &res.Merged
-	if err == nil {
-		gi.promotedBytes = res.Promotions.BytesMoved
-		gi.demotedBytes = res.Demotions.BytesMoved
-		gi.regionsDemoted = len(res.Demotions.Moved)
-	}
-	gi.state = r.breaker.State()
-	gi.residentBytes = r.resid.ResidentBytes()
-	r.recordOptimizeMetrics(0, 0)
+	_, err := r.commitPlacement(ctx, 0, gi, sched, nil)
+	rep := r.finishPlacement(0, gi, 0)
 	r.rec.End(0, "replay", "apply-plan", telemetry.Args{
 		"promoted_bytes": gi.promotedBytes,
 		"demoted_bytes":  gi.demotedBytes,
-		"seconds":        res.Merged.Seconds,
+		"seconds":        rep.Seconds,
 	})
-	return r.migrationReport(), err
+	return rep, err
 }
 
 // PlanCache is the cross-run store of compiled placement plans. Share

@@ -1,10 +1,12 @@
 package atmem
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -509,38 +511,98 @@ func (r *Runtime) Optimize() (MigrationReport, error) {
 // reports the unfinished regions as skipped outcomes — in-band partial
 // success, not an error.
 func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
-	if r.resid != nil {
-		// Governed runtimes diff the plan against residency and may
-		// demote as well as promote; see governor.go.
-		return r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
-	}
+	return r.place(ctx, r.prof.Config().Period, 0)
+}
+
+// place is the one placement stage, atmem_optimize proper: rank the
+// attributed samples against the fast-tier budget, then commit the
+// selection. One-shot Optimize, every governed epoch, the async worker
+// and DrainAsync all run it. A governed runtime adds the governor's
+// steps: the breaker decides whether the epoch migrates and observes
+// the outcome, the plan is diffed against residency with pressure
+// demotions (see governedSchedule), and committed promotions are scored
+// and recorded. An ungoverned runtime promotes the plan's ranges as
+// they are. The sampling period is a parameter (not read from the
+// profiler) so the async pipeline can analyze a previous interval's
+// samples while the profiler is already reconfigured for the next; tid
+// selects the telemetry track (the placement track when running on the
+// background service goroutine).
+func (r *Runtime) place(ctx context.Context, period uint64, tid int) (MigrationReport, error) {
 	if !r.profiled {
 		return MigrationReport{}, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
 	}
-	r.rec.Begin(0, "optimize", "optimize", nil)
-	var analyzeNS uint64
+	// Serialize against co-tenants on a shared system: the staging
+	// reservations and the global reserved==0 invariant assume one
+	// migration in flight at a time. No-op on a solo runtime.
+	r.lockPlacement()
+	defer r.unlockPlacement()
+	r.rec.Begin(tid, "optimize", "optimize", nil)
 	defer func() {
-		r.logNewFaults(0)
-		r.rec.End(0, "optimize", "optimize", r.optimizeSpanArgs())
-		r.recordOptimizeMetrics(0, analyzeNS)
+		r.logNewFaults(tid)
+		r.logBreakerTransitions(tid)
+		r.logHealthTransitions(tid)
+		r.rec.End(tid, "optimize", "optimize", r.optimizeSpanArgs())
 	}()
-	free := r.sys.FreeCapacity(memsim.TierFast)
-	if free <= r.opts.CapacityReserve {
-		// The reserve consumes the whole remaining fast tier: there is
-		// no placement budget, so skip the analyzer and migration
-		// entirely and report an empty plan (see
-		// Options.CapacityReserve).
-		r.recordEmptyPlacement()
-		return r.migrationReport(), nil
+
+	var gi *govInfo
+	epoch := r.epoch
+	if r.resid != nil {
+		gi = &govInfo{decision: r.breaker.Decide(), epoch: r.breaker.Epoch()}
+		r.gov = gi
+		epoch = gi.epoch
+		if gi.decision == governor.DecisionSkip {
+			// Open breaker: no analysis, no migration, hysteresis
+			// counters frozen. The epoch still ran its phases on the
+			// degraded placement; the cooldown was counted by Decide.
+			gi.skipped = true
+			r.recordEmptyPlacement()
+			return r.finishPlacement(tid, gi, 0), nil
+		}
 	}
-	budget := free - r.opts.CapacityReserve
+
+	// The placement budget is an exact ledger identity: free capacity
+	// beyond the reserve plus what registered objects already hold on
+	// the fast tier. Re-selecting an already-resident chunk costs
+	// nothing, so identical samples reproduce the identical plan across
+	// epochs — the invariant that makes steady-state deltas empty.
+	free := r.sys.FreeCapacity(memsim.TierFast)
+	budget := free - min(free, r.opts.CapacityReserve) + r.registeredFastBytes()
+	if r.tenant != nil {
+		// Broker tenancy: the granted share — already debited by this
+		// tenant's own quarantined bytes, so one tenant's fault storm
+		// shrinks only its own budget — caps the placement budget.
+		// Physical availability (what we hold plus the global headroom)
+		// still bounds it from above.
+		budget = min(budget, r.tenant.Budget())
+	}
+	if budget == 0 {
+		if r.tenant == nil {
+			// Nothing resident and no headroom (the reserve consumes the
+			// whole fast tier; see Options.CapacityReserve): there is no
+			// placement budget at all (core treats budget 0 as
+			// unlimited, so this cannot fall through to the analyzer).
+			// A clean no-op placement.
+			r.recordEmptyPlacement()
+			if gi != nil {
+				r.breaker.Observe(false)
+			}
+			return r.finishPlacement(tid, gi, 0), nil
+		}
+		// A tenant with no budget still runs the analyzer with a 1-byte
+		// budget: for a shed or fully-debited tenant the empty selection
+		// lets the pressure demotions drain its residency, and for a
+		// fresh tenant the clipped plan's MarginalDensity is the "I am
+		// hungry" signal the arbiter needs before it can grant a first
+		// share.
+		budget = 1
+	}
 	analyzeStart := time.Now()
 	plan, err := r.policy.Rank(core.PolicyProfile{
 		Registry: r.reg,
-		Period:   r.prof.Config().Period,
-		Epoch:    r.epoch,
-	}, budget, r.stageObserver(0))
-	analyzeNS = uint64(time.Since(analyzeStart))
+		Period:   period,
+		Epoch:    epoch,
+	}, budget, r.stageObserver(tid))
+	analyzeNS := uint64(time.Since(analyzeStart))
 	if err != nil {
 		return MigrationReport{}, err
 	}
@@ -550,14 +612,84 @@ func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
 	r.plan = plan
 
 	var sched migrate.Schedule
-	for i := range plan.Objects {
-		for _, rg := range plan.Objects[i].Ranges {
-			sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
+	if gi != nil {
+		sched = r.governedSchedule(plan, gi)
+	} else {
+		for i := range plan.Objects {
+			for _, rg := range plan.Objects[i].Ranges {
+				sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
+			}
 		}
 	}
-	res, err := r.commit(ctx, 0, sched, r.objectChecksums())
+	res, err := r.commitPlacement(ctx, tid, gi, sched, r.objectChecksums())
+	if gi != nil {
+		if err != nil {
+			// Unrecoverable (failed rollback) or a broken invariant:
+			// degrade the breaker and surface the error.
+			r.breaker.Observe(true)
+		} else {
+			// Promotion outcomes are health observations: committed
+			// promotions vouch for their target granules, skipped ones
+			// indict them.
+			r.observeMigrationHealth(res)
+			// Plan recording captures exactly what committed this epoch
+			// — the decisions a replay must reproduce (see replay.go).
+			r.recordCommitted(res.Promotions.Moved, res.Demotions.Moved)
+			// A cancelled plan skips regions deliberately; that is the
+			// caller's choice, not a failing migration path, so it must
+			// not trip the breaker.
+			r.breaker.Observe(res.Merged.RegionsSkipped > 0 && ctx.Err() == nil)
+		}
+	}
+	return r.finishPlacement(tid, gi, analyzeNS), err
+}
+
+// commitPlacement is the tail every placement shares, ranked (place) or
+// replayed (applyPlanEpoch): the health veto, the half-open breaker's
+// probe shrink, the commit, and the stats the report reads. gi is nil
+// on an ungoverned runtime.
+func (r *Runtime) commitPlacement(ctx context.Context, tid int, gi *govInfo, sched migrate.Schedule, pre map[uint64]uint32) (migrate.ScheduleResult, error) {
+	// Health veto: never promote onto quarantined or distrusted granules
+	// (a replayed plan included: pages quarantined since the recording
+	// must never receive a promotion).
+	sched.Promotions = r.filterPromotions(tid, sched.Promotions)
+	if gi != nil {
+		gi.emptyDelta = sched.Empty()
+		if gi.decision == governor.DecisionProbe && !sched.Empty() {
+			// Half-open: probe with the single smallest region (a
+			// promotion if there is one — it exercises the fast tier the
+			// failures came from) instead of the whole schedule.
+			bySize := func(a, b migrate.Region) int { return cmp.Compare(a.Size, b.Size) }
+			if len(sched.Promotions) > 0 {
+				sched = migrate.Schedule{Promotions: []migrate.Region{slices.MinFunc(sched.Promotions, bySize)}}
+			} else {
+				sched = migrate.Schedule{Demotions: []migrate.Region{slices.MinFunc(sched.Demotions, bySize)}}
+			}
+		}
+	}
+	res, err := r.commit(ctx, tid, sched, pre)
 	r.migStats = &res.Merged
-	return r.migrationReport(), err
+	if gi != nil && err == nil {
+		gi.promotedBytes = res.Promotions.BytesMoved
+		gi.demotedBytes = res.Demotions.BytesMoved
+		gi.regionsDemoted = len(res.Demotions.Moved)
+	}
+	return res, err
+}
+
+// finishPlacement closes a placement: it settles the governed report
+// fields, records the placement's metrics (analyzeNS is the analyzer's
+// host wall time, 0 when no analysis ran), and returns the report.
+func (r *Runtime) finishPlacement(tid int, gi *govInfo, analyzeNS uint64) MigrationReport {
+	if gi != nil {
+		gi.state = r.breaker.State()
+		gi.residentBytes = r.resid.ResidentBytes()
+		// Mirror the breaker state atomically for /healthz, which reads
+		// from the debug listener's goroutine mid-run.
+		r.breakerOpenA.Store(gi.state != governor.StateClosed)
+	}
+	r.recordOptimizeMetrics(tid, analyzeNS)
+	return r.migrationReport()
 }
 
 // recordEmptyPlacement reports a placement that had no budget to spend:
@@ -720,15 +852,8 @@ func (c *Ctx) StoreRange(addr uint64, elemSize uint32, count int) {
 // returning [lo, hi).
 func (c *Ctx) Range(n int) (lo, hi int) {
 	per := (n + c.NumThreads - 1) / c.NumThreads
-	lo = c.ID * per
-	hi = lo + per
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+	lo = min(c.ID*per, n)
+	return lo, min(lo+per, n)
 }
 
 // RunPhase executes kernel on every simulated thread in parallel, with
